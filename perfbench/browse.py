@@ -170,7 +170,7 @@ def _warm_up(host, port, pools, shard, errors: list) -> None:
         client = NavigationClient(host, port)
         name = _name_on_shard("warm-", shard)
         client.create_session(name)
-        opening = pools.session(random.Random(0))[0].command
+        opening = next(pools.sessions(random.Random(0)))[0].command
         client.apply(name, command_to_dict(opening))
         client.suggest(name)
         client.delete_session(name)
@@ -188,7 +188,7 @@ def _serve_session(client, record, timings, ops, net) -> None:
     started = time.perf_counter()
     client.create_session(name)
     timings.other(time.perf_counter() - started)
-    for position, click in enumerate(record.script):
+    for click in record.script:
         bodies = [
             {"predicate": predicate_to_dict(p), "mode": "filter"}
             for p in click.previews
@@ -211,7 +211,7 @@ def _serve_session(client, record, timings, ops, net) -> None:
         if click.kind == "open":
             timings.open(ended - started)
         else:
-            timings.click(ended - started, position)
+            timings.click(ended - started)
         net["requests"] += 2
         net["request_s"] += ended - started
         net["apply_bytes"].append(len(applied))
@@ -346,7 +346,7 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Result:
         if warm_errors:
             raise warm_errors[0]
 
-        rng = random.Random(seed)
+        scripts = pools.sessions(random.Random(seed))
         timings = Timings()
         ops = Ops()
         net = {"requests": 0, "request_s": 0.0, "apply_bytes": [],
@@ -358,7 +358,7 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Result:
             # Sessions alternate between the workers, in every run.
             index = len(records)
             name = _name_on_shard(f"s{index}-", index % PROCS)
-            record = SessionRecord(name, pools.session(rng))
+            record = SessionRecord(name, next(scripts))
             records.append(record)
             _serve_session(client, record, timings, ops, net)
         after = client.metrics() if trace else None

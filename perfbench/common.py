@@ -8,16 +8,14 @@ Every workload measures the same kinds of user-facing operations:
 * a *preview* — counting the chips on offer before a click.
 
 :class:`Timings` turns those samples into the end-to-end metrics —
-clicks as the geometric mean over script positions of each position's
-median (see README.md) — and :class:`Ops` counts attempted and failed
-operations.  Checks may run
-after the timed window; they mark operations failed by index.
+clicks as the mean over every timed click of the run (see README.md) —
+and :class:`Ops` counts attempted and failed operations.  Checks may
+run after the timed window; they mark operations failed by index.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import os
 from contextlib import contextmanager
 import resource
@@ -133,15 +131,6 @@ def children_of(pid: int) -> list[int]:
     return sorted(found)
 
 
-def stratified(samples) -> float:
-    """Geometric mean over script positions of each position's median."""
-    by_position: dict = {}
-    for position, value in samples:
-        by_position.setdefault(position, []).append(value)
-    logs = [math.log(median(v)) for v in by_position.values()]
-    return math.exp(sum(logs) / len(logs))
-
-
 class Ops:
     """Attempted and failed operations; a failure is marked once."""
 
@@ -187,8 +176,7 @@ class Timings:
 
     def __init__(self):
         self.opens: list[float] = []
-        #: (script position, seconds) — per-position medians need both.
-        self.clicks: list[tuple[int, float]] = []
+        self.clicks: list[float] = []
         self.previews = 0
         self.busy = 0.0
 
@@ -196,9 +184,9 @@ class Timings:
         self.opens.append(seconds)
         self.busy += seconds
 
-    def click(self, seconds: float, position: int) -> None:
-        """A non-opening click at ``position`` in its session's script."""
-        self.clicks.append((position, seconds))
+    def click(self, seconds: float) -> None:
+        """A non-opening click."""
+        self.clicks.append(seconds)
         self.busy += seconds
 
     def previews_counted(self, seconds: float, count: int) -> None:
@@ -217,7 +205,7 @@ class Timings:
             "setup_s": (setup_s, "s"),
             "peak_rss_mb": (peak_rss_mb, "MB"),
             "open_ms": (1000.0 * median(self.opens), "ms"),
-            "click_ms": (1000.0 * stratified(self.clicks), "ms"),
+            "click_ms": (1000.0 * statistics.fmean(self.clicks), "ms"),
             "clicks_per_s": (
                 (len(self.opens) + len(self.clicks)) / self.busy,
                 "1/s",

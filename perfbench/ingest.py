@@ -30,6 +30,7 @@ nothing the timed clicks use):
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import time
 
@@ -152,7 +153,7 @@ def _round(base, corpus, pools, batches, scripts, timings, ops, layer):
             if click.kind == "open":
                 timings.open(elapsed)
             else:
-                timings.click(elapsed, step)
+                timings.click(elapsed)
             counts = [(ops.new(), count) for count in counts]
             seen = frozenset(session.state.view.items)
             done.append((name, click, counts, seen, ops.new()))
@@ -239,7 +240,7 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> Result:
     pools = RecipePools(corpus)
     rng = random.Random(seed)
     batches = [pools.batch(rng, recipes.NS, step) for step in range(STEPS)]
-    scripts = [pools.session(rng) for _ in range(SESSIONS)]
+    scripts = list(itertools.islice(pools.sessions(rng), SESSIONS))
     settle()
 
     layer = _Layers() if trace else None

@@ -8,16 +8,20 @@ ingredient, by a word of the directions, negate the cuisine chip,
 refine by the two-hop ``ingredient/foodGroup`` path, go Back, and remove
 the word chip.  Pools are chosen so that no view is empty or tiny and
 every session's views have similar sizes whatever the seed: all
-cuisines, popular ingredients, the generator's common words, the larger
-food groups.  Before every click after the open the session counts six
-chips on offer; for a refining click the applied chip is among them, so its
-count must equal the size of the view it then produces.
+cuisines, ingredients of similar popularity, the generator's common
+words, the larger food groups.  A run's sessions draw each chip from its
+pool without replacement (:class:`Deck`), so every run covers the pools
+alike whatever the seed.  Before every click after the open the session
+counts six chips on offer; for a refining click the applied chip is
+among them, so its count must equal the size of the view it then
+produces.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.datasets.text import COMMON_WORDS, sentences
 from repro.query.ast import HasValue, Path, PathStep, Predicate, TextMatch, TypeIs
@@ -30,8 +34,9 @@ from chain import Click
 
 #: Chips counted before each click after the open.
 PREVIEWS_PER_CLICK = 6
-#: Popularity ranks of the ingredients a session refines by.
-INGREDIENT_RANKS = (2, 20)
+#: Popularity ranks of the ingredients a session refines by: 8
+#: ingredients of 402 to 513 recipes each.
+INGREDIENT_RANKS = (7, 15)
 #: The smallest food group a path refine targets.
 MIN_GROUP = 12
 #: Recipes per ingest batch.
@@ -39,6 +44,21 @@ BATCH_RECIPES = 20
 #: Letters of the unique title tokens: no vowels, no suffix letters, so
 #: stemming keeps each token whole.
 _TOKEN_LETTERS = "bcfhkmptvwxz"
+
+
+class Deck:
+    """Draws from a pool without replacement, reshuffled when it runs out."""
+
+    def __init__(self, rng, pool):
+        self.rng = rng
+        self.pool = list(pool)
+        self.left: list = []
+
+    def draw(self):
+        if not self.left:
+            self.left = list(self.pool)
+            self.rng.shuffle(self.left)
+        return self.left.pop()
 
 
 class RecipePools:
@@ -70,8 +90,8 @@ class RecipePools:
             o for _s, _p, o in corpus.graph.triples(None, self.p_ingredient, None)
         )
         by_use = sorted(self.ingredients, key=lambda i: (-uses[i], i.n3()))
-        #: Popular ingredients, so an ingredient refine on a cuisine view
-        #: keeps a few dozen recipes whichever is drawn.
+        #: Ingredients of similar popularity, so an ingredient refine on a
+        #: cuisine view keeps a few dozen recipes whichever is drawn.
         self.popular = by_use[INGREDIENT_RANKS[0]:INGREDIENT_RANKS[1]]
         groups = extras["ingredient_groups"]
         #: Food groups with at least this many ingredients (similar reach).
@@ -93,12 +113,17 @@ class RecipePools:
     def cuisine_chip(self, value) -> Predicate:
         return HasValue(self.p_cuisine, value)
 
-    def session(self, rng) -> list[Click]:
-        """One scripted session (8 clicks), drawn from ``rng``."""
-        cuisine = rng.choice(self.cuisines)
-        ingredient = rng.choice(self.popular)
-        word = rng.choice(self.words)
-        group = rng.choice(self.groups)
+    def sessions(self, rng) -> Iterator[list[Click]]:
+        """Scripted sessions (8 clicks each), drawn from ``rng``."""
+        decks = [
+            Deck(rng, pool)
+            for pool in (self.cuisines, self.popular, self.words, self.groups)
+        ]
+        while True:
+            yield self._session(rng, *(deck.draw() for deck in decks))
+
+    def _session(self, rng, cuisine, ingredient, word, group) -> list[Click]:
+        """One session refining by the given chips; previews from ``rng``."""
         ingredient_chip = HasValue(self.p_ingredient, ingredient)
         path_chip = Path(self.path_steps, Literal(group))
 

@@ -219,7 +219,7 @@ def _session(manager, name, script, timings, ops) -> list:
     """Run one scripted session; returns what the checks need per click."""
     session = manager.create(name)
     record = []
-    for position, click in enumerate(script):
+    for click in script:
         counts = []
         if click.previews:
             begin = time.perf_counter()
@@ -234,7 +234,7 @@ def _session(manager, name, script, timings, ops) -> list:
         if click.kind == "open":
             timings.open(elapsed)
         else:
-            timings.click(elapsed, position)
+            timings.click(elapsed)
         previews = [(ops.new(), count) for count in counts]
         record.append((previews, frozenset(session.state.view.items), ops.new()))
     manager.remove(name)
